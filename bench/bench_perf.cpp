@@ -21,7 +21,6 @@
 #include "bench/common.h"
 #include "core/engine.h"
 #include "dataset/synthetic.h"
-#include "hmm/batch_filter.h"
 #include "hmm/baum_welch.h"
 #include "hmm/kernel.h"
 #include "hmm/online_filter.h"
@@ -84,15 +83,11 @@ void BM_HmmObserveAndPredict(benchmark::State& state) {
 }
 BENCHMARK(BM_HmmObserveAndPredict);
 
-// -- Batched SIMD inference core (DESIGN.md §16) ------------------------------
-// Single-core scalar vs batched kernel cost, by model size and batch width.
-// The ObservePredict pair does one full serve step per session (observe +
-// next-epoch predict); the Predict pair isolates the PREDICT-verb hot path,
-// where batching shows its full amortization (no per-lane exp). items/s is
-// predictions/s and per-predict ns is real_time/width. Reference numbers
-// live in bench/baselines/kernel_batch.json — >= 4x at n=6 width 16 with
-// CS2P_NATIVE_ARCH=ON on an AVX-512 host — and CI fails a >20% regression
-// of the portable-build batched:scalar ratio.
+// -- HMM inference kernel (DESIGN.md §16) ------------------------------------
+// Single-core cost of one served forecast on the shared SoA kernel, by model
+// size. The ObservePredict bench does one full OBSERVE serve step (observe +
+// next-epoch predict); the Predict bench isolates the PREDICT-verb hot path
+// (belief · P^tau from the cached powers, no emission exp).
 
 /// Deterministic n-state model shaped like the paper's trained clusters:
 /// sticky diagonal, spread means.
@@ -113,7 +108,7 @@ GaussianHmm kernel_bench_model(std::size_t n) {
 }
 
 /// A short observation cycle hitting different states (kept out of the timed
-/// loop; shared by the scalar and batched benches so the work matches).
+/// loop; shared by both kernel benches).
 std::vector<double> kernel_bench_stream(const GaussianHmm& model) {
   std::vector<double> stream;
   for (std::size_t i = 0; i < 8; ++i)
@@ -121,8 +116,7 @@ std::vector<double> kernel_bench_stream(const GaussianHmm& model) {
   return stream;
 }
 
-/// Scalar baseline: one session advanced + predicted per iteration — the
-/// per-predict cost the serve path paid before batching.
+/// One session advanced + predicted per iteration.
 void BM_KernelScalarObservePredict(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const auto kernel = HmmKernel::create(kernel_bench_model(n));
@@ -141,50 +135,7 @@ void BM_KernelScalarObservePredict(benchmark::State& state) {
 }
 BENCHMARK(BM_KernelScalarObservePredict)->Arg(4)->Arg(6)->Arg(8);
 
-/// Batched: `width` kernel-sharing sessions advanced + predicted in one
-/// state-matrix walk per call (hmm/batch_filter.h).
-void BM_KernelBatchObservePredict(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const auto width = static_cast<std::size_t>(state.range(1));
-  const auto kernel = HmmKernel::create(kernel_bench_model(n));
-  const std::vector<double> stream = kernel_bench_stream(kernel->model());
-  std::vector<OnlineHmmFilter> filters(width, OnlineHmmFilter(kernel));
-  std::vector<OnlineHmmFilter*> lanes(width);
-  std::vector<const OnlineHmmFilter*> const_lanes(width);
-  for (std::size_t b = 0; b < width; ++b) {
-    lanes[b] = &filters[b];
-    const_lanes[b] = &filters[b];
-  }
-  std::vector<double> observations(width);
-  std::vector<double> predictions(width);
-  BatchHmmFilter batch;
-  std::size_t t = 0;
-  for (auto _ : state) {
-    for (std::size_t b = 0; b < width; ++b)
-      observations[b] = stream[(t + b) % stream.size()];
-    batch.observe(*kernel, lanes, observations);
-    batch.predict(*kernel, const_lanes, 1, predictions);
-    benchmark::DoNotOptimize(predictions.data());
-    benchmark::ClobberMemory();
-    ++t;
-  }
-  state.SetItemsProcessed(
-      static_cast<std::int64_t>(state.iterations() * width));
-  state.counters["predictions/s"] = benchmark::Counter(
-      static_cast<double>(state.iterations() * width),
-      benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_KernelBatchObservePredict)
-    ->Args({6, 1})
-    ->Args({6, 4})
-    ->Args({6, 16})
-    ->Args({6, 64})
-    ->Args({4, 16})
-    ->Args({8, 16});
-
-/// Predict-only scalar: the PREDICT-verb hot path — belief · P^tau from the
-/// kernel's cached powers, no emission exp. This is the per-request cost the
-/// batch path amortizes.
+/// Predict only: belief · P^tau from the kernel's cached powers.
 void BM_KernelScalarPredict(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const auto kernel = HmmKernel::create(kernel_bench_model(n));
@@ -200,42 +151,6 @@ void BM_KernelScalarPredict(benchmark::State& state) {
                          benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_KernelScalarPredict)->Arg(4)->Arg(6)->Arg(8);
-
-/// Predict-only batched: `width` lanes through one shared P^tau walk.
-/// The headline acceptance ratio: per-predict ns here vs the scalar bench
-/// above at the same model size, width >= 16.
-void BM_KernelBatchPredict(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const auto width = static_cast<std::size_t>(state.range(1));
-  const auto kernel = HmmKernel::create(kernel_bench_model(n));
-  const std::vector<double> stream = kernel_bench_stream(kernel->model());
-  std::vector<OnlineHmmFilter> filters(width, OnlineHmmFilter(kernel));
-  std::vector<const OnlineHmmFilter*> const_lanes(width);
-  for (std::size_t b = 0; b < width; ++b) {
-    for (std::size_t t = 0; t <= b % stream.size(); ++t)
-      filters[b].observe(stream[(t + b) % stream.size()]);
-    const_lanes[b] = &filters[b];
-  }
-  std::vector<double> predictions(width);
-  BatchHmmFilter batch;
-  for (auto _ : state) {
-    batch.predict(*kernel, const_lanes, 1, predictions);
-    benchmark::DoNotOptimize(predictions.data());
-    benchmark::ClobberMemory();
-  }
-  state.SetItemsProcessed(
-      static_cast<std::int64_t>(state.iterations() * width));
-  state.counters["predictions/s"] = benchmark::Counter(
-      static_cast<double>(state.iterations() * width),
-      benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_KernelBatchPredict)
-    ->Args({6, 1})
-    ->Args({6, 4})
-    ->Args({6, 16})
-    ->Args({6, 64})
-    ->Args({4, 16})
-    ->Args({8, 16});
 
 void BM_HmmTrainCluster(benchmark::State& state) {
   auto& f = fixture();

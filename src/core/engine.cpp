@@ -437,8 +437,8 @@ std::unique_ptr<SessionPredictor> Cs2pPredictorModel::make_session(
       engine_->session_model(context.features, context.start_hour);
   const Cs2pConfig& config = engine_->config();
   // Sessions share their model's SoA kernel: one contiguous constants block
-  // per model instead of a private copy per session, and the handle the
-  // batch driver groups by.
+  // (and one P^tau power cache) per model instead of a private copy per
+  // session.
   auto kernel = engine_->hmm_kernel(ref.hmm);
   if (!config.guardrail.enabled) {
     return std::make_unique<HmmSessionPredictor>(

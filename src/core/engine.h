@@ -137,35 +137,29 @@ struct ClusterModelView {
   bool cluster_specific = false;
 };
 
-// -- Batched serving API (DESIGN.md §16) -------------------------------------
-// One poll round's worth of (session, value) pairs, grouped by shared HMM
-// kernel and pushed through BatchHmmFilter in one state-matrix walk per
-// group. Items whose predictor is not batchable (non-HMM family, cold start,
-// degraded fallback, sanitizer reject) run their scalar path — the batch
-// driver is an optimization, never a semantic fork.
+// -- Serving entry (DESIGN.md §16) --------------------------------------------
+// One poll round's worth of (session, value) pairs. Every item runs its own
+// predictor's observe()/predict(), in item order, so a served forecast is
+// exactly what the session's predictor computes on its own.
 
 /// One OBSERVE: advance the session on `observation`, then produce the
 /// next-epoch prediction (the server's OBSERVE reply).
 struct ObserveBatchItem {
   SessionPredictor* predictor = nullptr;
   double observation = 0.0;
-  double prediction = 0.0;      ///< out
-  bool via_batch_kernel = false;  ///< out: prediction came from the batch kernel
+  double prediction = 0.0;  ///< out
+  /// In: serve the predictor's cheap brownout forecast (DESIGN.md §14).
+  /// Out: true only when it was served — a family without a cheap path
+  /// serves its primary forecast and the flag reads false.
+  bool brownout = false;
 };
 
 /// One PREDICT at an arbitrary horizon.
 struct PredictBatchItem {
   SessionPredictor* predictor = nullptr;
   unsigned steps_ahead = 1;  ///< must be >= 1
-  double prediction = 0.0;      ///< out
-  bool via_batch_kernel = false;  ///< out
-};
-
-/// How much of a batch the kernel actually served (feeds the
-/// cs2p_server_batched_predicts counter).
-struct BatchStats {
-  std::size_t batched = 0;  ///< predictions served by the batch kernel
-  std::size_t scalar = 0;   ///< predictions that fell back to scalar predict()
+  double prediction = 0.0;   ///< out
+  bool brownout = false;     ///< in/out, as ObserveBatchItem::brownout
 };
 
 class Cs2pEngine {
@@ -215,23 +209,18 @@ class Cs2pEngine {
 
   /// Shared SoA inference kernel of an engine-owned HMM (hmm/kernel.h),
   /// built lazily once per model and cached — every session pinned to that
-  /// model shares one kernel block, which is what makes them batchable.
-  /// Same pointer contract as surprise_baseline().
+  /// model shares one kernel block and its P^tau power cache. Same pointer
+  /// contract as surprise_baseline().
   std::shared_ptr<const HmmKernel> hmm_kernel(const GaussianHmm* hmm) const;
 
   /// Advances every item's session on its observation and produces the
-  /// next-epoch prediction, grouping kernel-sharing sessions through
-  /// BatchHmmFilter (one state-matrix walk per model per round). Each
-  /// session id must appear at most once per call (core/batch.cpp explains
-  /// the sequential-dependence rule); the caller holds whatever locks
-  /// protect the predictors. Static: operates on any predictor mix and
-  /// touches no engine state.
-  static BatchStats observe_batch(std::span<ObserveBatchItem> items);
+  /// next-epoch prediction. The caller holds whatever locks protect the
+  /// predictors. Static: operates on any predictor mix and touches no
+  /// engine state.
+  static void observe_batch(std::span<ObserveBatchItem> items);
 
-  /// Batched horizon predictions; groups by (kernel, steps_ahead). Items
-  /// whose predictor cannot batch (cold start, degraded, non-HMM) run
-  /// scalar predict() with identical results and side effects.
-  static BatchStats predict_batch(std::span<PredictBatchItem> items);
+  /// Horizon predictions, one per item.
+  static void predict_batch(std::span<PredictBatchItem> items);
 
   /// Guardrail lifecycle feed (called by Cs2pPredictorModel's event hook,
   /// possibly from many serving threads). Aggregates per-session trips into

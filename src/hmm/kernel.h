@@ -9,9 +9,8 @@
 //
 // so belief propagation (pi · P^tau) and Gaussian emission evaluation are
 // tight auto-vectorizable loops over flat arrays. One kernel is built per
-// model and shared (read-only) by every session pinned to that model — the
-// natural unit for BatchHmmFilter, which walks the state matrix once for a
-// whole batch of sessions.
+// model and shared (read-only) by every session pinned to that model, so a
+// cluster's sessions share one cached set of P^tau powers.
 //
 // Numerical contract: every kernel operation reproduces the historical
 // Vec/Matrix scalar path bit-for-bit. Powers are computed with Matrix::pow
@@ -19,7 +18,7 @@
 // mirrors gaussian_log_pdf's expression tree exactly, and propagation keeps
 // vec_mat's i-outer/j-inner accumulation order. The kernel sources compile
 // with -ffp-contract=off (see src/hmm/CMakeLists.txt) so FMA contraction
-// cannot silently split the scalar and batched paths.
+// cannot make served forecasts depend on the compiler's contraction choices.
 #pragma once
 
 #include <cstddef>

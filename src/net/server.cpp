@@ -51,24 +51,28 @@ constexpr int kMaxPollWaitMs = 50;
 
 constexpr std::size_t kReadChunkBytes = 16 * 1024;
 
+/// The session an OBSERVE or PREDICT addresses.
+std::uint64_t session_of(const Request& request) {
+  if (const auto* observe = std::get_if<ObserveRequest>(&request))
+    return observe->session_id;
+  return std::get<PredictRequest>(request).session_id;
+}
+
 }  // namespace
 
-/// One frame moving through a batch round (DESIGN.md §16). Extracted off its
-/// connection's read buffer, parsed, dispatched either scalar or through the
-/// engine's batch API, and finally emitted back onto the connection — the
-/// fd, not a Connection*, is the link, because a connection can be closed by
-/// an earlier frame's flush failure within the same round.
+/// One frame moving through a round (DESIGN.md §16). Extracted off its
+/// connection's read buffer, parsed, dispatched (session verbs through the
+/// engine's serving entry, every other verb through handle()), and finally
+/// emitted back onto the connection — the fd, not a Connection*, is the
+/// link, because a connection can be closed by an earlier frame's flush
+/// failure within the same round.
 struct PredictionServer::RoundFrame {
   int fd = -1;
   std::string payload;
   PendingReply reply;     ///< t_recv stamped at extraction
   Request request;
-  bool parsed = false;
   Response response;
   bool handled = false;
-  /// 0 = scalar path, 1 = batched OBSERVE, 2 = batched PREDICT.
-  int batch_kind = 0;
-  std::uint64_t batch_session = 0;
 };
 
 PredictionServer::MetricHandles PredictionServer::MetricHandles::create(
@@ -105,8 +109,6 @@ PredictionServer::MetricHandles PredictionServer::MetricHandles::create(
   m.drain_rejections = &registry.counter("cs2p_server_drain_rejections_total");
   m.completion_hook_errors =
       &registry.counter("cs2p_server_completion_hook_errors_total");
-  m.batched_predicts =
-      &registry.counter("cs2p_server_batched_predicts_total");
   m.active_connections = &registry.gauge("cs2p_server_active_connections");
   m.live_sessions = &registry.gauge("cs2p_server_live_sessions");
   m.draining = &registry.gauge("cs2p_server_draining");
@@ -558,7 +560,7 @@ void PredictionServer::worker_loop(Worker& worker) {
     }
 
     // Everything readable this wakeup has been pulled into read buffers;
-    // drain the complete frames in batched rounds (DESIGN.md §16).
+    // drain the complete frames in rounds (DESIGN.md §16).
     run_batch_rounds(worker);
 
     if (config_.idle_timeout_ms > 0) {
@@ -724,7 +726,6 @@ void PredictionServer::handle_round(Worker& worker,
       frame.request = parse_request(frame.payload);
       frame.reply.parse_us = elapsed_us(frame.reply.t_recv, Clock::now());
       verb_counter(frame.request)->inc();
-      frame.parsed = true;
     } catch (const ProtocolError& e) {
       m_.verb_invalid->inc();
       frame.response = ErrorResponse{WireErrorCode::kBadRequest, e.what()};
@@ -735,41 +736,25 @@ void PredictionServer::handle_round(Worker& worker,
     }
   }
 
-  // Phase 2: classify. OBSERVE and PREDICT are batchable when the server is
-  // in its primary serving mode; under brownout, shutdown, or for a session
-  // id appearing twice in one round (sequential dependence — core/batch.cpp)
-  // the frame takes the scalar path, which is always semantically complete.
-  thread_local std::vector<std::uint64_t> batch_ids;
-  batch_ids.clear();
-  const bool can_batch = !stopping_.load() && brownout_level() == 0;
-  if (can_batch) {
-    for (RoundFrame& frame : round) {
-      if (!frame.parsed || frame.handled) continue;
-      std::uint64_t session = 0;
-      int kind = 0;
-      if (const auto* observe = std::get_if<ObserveRequest>(&frame.request)) {
-        session = observe->session_id;
-        kind = 1;
-      } else if (const auto* predict =
-                     std::get_if<PredictRequest>(&frame.request)) {
-        session = predict->session_id;
-        kind = 2;
-      } else {
-        continue;
-      }
-      if (std::find(batch_ids.begin(), batch_ids.end(), session) !=
-          batch_ids.end())
-        continue;  // duplicate in this round: scalar keeps the chaining
-      batch_ids.push_back(session);
-      frame.batch_kind = kind;
-      frame.batch_session = session;
-    }
-  }
-
-  // Phase 3: scalar frames through the unchanged handle() path (HELLO, BYE,
-  // SYNC, STATS, MODEL, plus any OBSERVE/PREDICT the batch declined).
+  // Phase 2: a stopping server answers every request SHUTTING_DOWN; else
+  // OBSERVE/PREDICT queue for the session pass and every other verb (HELLO,
+  // BYE, SYNC, STATS, MODEL) runs through handle().
+  const bool stopping = stopping_.load();
+  thread_local std::vector<RoundFrame*> session_frames;
+  session_frames.clear();
   for (RoundFrame& frame : round) {
-    if (frame.handled || frame.batch_kind != 0) continue;
+    if (frame.handled) continue;
+    if (stopping) {
+      frame.response =
+          ErrorResponse{WireErrorCode::kShuttingDown, "server is stopping"};
+      frame.handled = true;
+      continue;
+    }
+    if (std::holds_alternative<ObserveRequest>(frame.request) ||
+        std::holds_alternative<PredictRequest>(frame.request)) {
+      session_frames.push_back(&frame);
+      continue;
+    }
     const auto it = worker.connections.find(frame.fd);
     if (it == worker.connections.end()) continue;
     const auto t_handle = Clock::now();
@@ -785,144 +770,18 @@ void PredictionServer::handle_round(Worker& worker,
     frame.handled = true;
   }
 
-  // Phase 4: the batched frames. One multi-shard lock acquisition covers
-  // lookup, validation, the engine's batch advance/predict, and reply
-  // composition — the per-frame semantics (validation order, last_used
-  // refresh, history capture, serve flags read after the advance, degraded
-  // accounting) replicate handle()'s scalar OBSERVE/PREDICT exactly.
-  if (!batch_ids.empty()) {
-    thread_local std::vector<RoundFrame*> batch_frames;
-    thread_local std::vector<ObserveBatchItem> observe_items;
-    thread_local std::vector<std::size_t> observe_frames;
-    thread_local std::vector<SessionTable::Entry*> observe_entries;
-    thread_local std::vector<PredictBatchItem> predict_items;
-    thread_local std::vector<std::size_t> predict_frames;
-    thread_local std::vector<SessionTable::Entry*> predict_entries;
-    batch_frames.clear();
-    for (RoundFrame& frame : round)
-      if (frame.batch_kind != 0) batch_frames.push_back(&frame);
-
-    const auto t_batch = Clock::now();
-    BatchStats stats;
-    sessions_.with_sessions(
-        batch_ids, [&](std::span<SessionTable::Entry* const> entries) {
-          observe_items.clear();
-          observe_frames.clear();
-          observe_entries.clear();
-          predict_items.clear();
-          predict_frames.clear();
-          predict_entries.clear();
-          const auto now = Clock::now();
-          for (std::size_t i = 0; i < batch_frames.size(); ++i) {
-            RoundFrame& frame = *batch_frames[i];
-            SessionTable::Entry* entry = entries[i];
-            RequestInfo& info = frame.reply.info;
-            info.session_id = frame.batch_session;
-            if (entry != nullptr) info.traced = entry->traced;
-            if (frame.batch_kind == 1) {
-              info.event = "observe";
-              const auto& observe = std::get<ObserveRequest>(frame.request);
-              const double w = observe.throughput_mbps;
-              // Validate before touching the predictor (one NaN poisons the
-              // forward filter); an invalid sample outranks an unknown
-              // session, and leaves last_used alone — both exactly as the
-              // scalar path decides.
-              if (!(std::isfinite(w) && w >= 0.0 &&
-                    w <= config_.max_sample_mbps)) {
-                frame.response = ErrorResponse{
-                    WireErrorCode::kInvalidSample,
-                    "throughput sample must be finite, non-negative and <= " +
-                        std::to_string(config_.max_sample_mbps)};
-                frame.handled = true;
-                continue;
-              }
-              if (entry == nullptr) {
-                frame.response = ErrorResponse{WireErrorCode::kUnknownSession,
-                                               "unknown session"};
-                frame.handled = true;
-                continue;
-              }
-              entry->last_used = now;
-              if (config_.on_session_complete &&
-                  entry->observations.size() < config_.session_history_cap)
-                entry->observations.push_back(w);
-              observe_items.push_back({entry->predictor.get(), w, 0.0, false});
-              observe_frames.push_back(i);
-              observe_entries.push_back(entry);
-            } else {
-              info.event = "predict";
-              const auto& predict = std::get<PredictRequest>(frame.request);
-              if (entry == nullptr) {
-                frame.response = ErrorResponse{WireErrorCode::kUnknownSession,
-                                               "unknown session"};
-                frame.handled = true;
-                continue;
-              }
-              if (predict.steps_ahead == 0) {
-                frame.response = ErrorResponse{WireErrorCode::kBadRequest,
-                                               "steps_ahead must be >= 1"};
-                frame.handled = true;
-                continue;
-              }
-              entry->last_used = now;
-              predict_items.push_back(
-                  {entry->predictor.get(), predict.steps_ahead, 0.0, false});
-              predict_frames.push_back(i);
-              predict_entries.push_back(entry);
-            }
-          }
-          if (!observe_items.empty()) {
-            const BatchStats s = Cs2pEngine::observe_batch(observe_items);
-            stats.batched += s.batched;
-            stats.scalar += s.scalar;
-          }
-          if (!predict_items.empty()) {
-            const BatchStats s = Cs2pEngine::predict_batch(predict_items);
-            stats.batched += s.batched;
-            stats.scalar += s.scalar;
-          }
-          const auto compose = [&](RoundFrame& frame,
-                                   const SessionTable::Entry& entry,
-                                   double mbps) {
-            PredictionResponse response;
-            // serve_flags() after the advance, before this reply — the same
-            // point in the session's life the scalar path reads it.
-            response.flags = entry.predictor->serve_flags();
-            response.mbps = mbps;
-            if (draining()) response.flags |= serve_flags::kDraining;
-            if ((response.flags & ~serve_flags::kDraining) !=
-                serve_flags::kPrimary)
-              m_.degraded_replies->inc();
-            RequestInfo& info = frame.reply.info;
-            info.flags = response.flags;
-            info.mbps = response.mbps;
-            info.log_likelihood = entry.predictor->last_log_likelihood();
-            frame.response = response;
-            frame.handled = true;
-          };
-          for (std::size_t k = 0; k < observe_items.size(); ++k)
-            compose(*batch_frames[observe_frames[k]], *observe_entries[k],
-                    observe_items[k].prediction);
-          for (std::size_t k = 0; k < predict_items.size(); ++k)
-            compose(*batch_frames[predict_frames[k]], *predict_entries[k],
-                    predict_items[k].prediction);
-        });
-    const std::size_t width = observe_items.size() + predict_items.size();
-    if (width > 0) {
-      m_.batch_size->observe(static_cast<double>(width));
-      m_.batched_predicts->inc(stats.batched);
-      // Attribute the batch's wall time evenly: per-reply handle_us stays
-      // meaningful in traces without per-frame clock reads inside the lock.
-      const std::uint64_t per_frame =
-          elapsed_us(t_batch, Clock::now()) / width;
-      for (const std::size_t i : observe_frames)
-        batch_frames[i]->reply.handle_us = per_frame;
-      for (const std::size_t i : predict_frames)
-        batch_frames[i]->reply.handle_us = per_frame;
-    }
+  // Phase 3: the session verbs, in passes that hold each session once. A
+  // session driven over two connections can put two frames in one round;
+  // the later one waits for the next pass (a sub-round), so the session's
+  // frames are served in round order and its observations chain.
+  thread_local std::vector<RoundFrame*> later;
+  while (!session_frames.empty()) {
+    later.clear();
+    serve_sessions(session_frames, later);
+    session_frames.swap(later);
   }
 
-  // Phase 5: emit, in round order. Reply framing, error accounting, write
+  // Phase 4: emit, in round order. Reply framing, error accounting, write
   // backpressure, and the opportunistic flush are the old per-frame tail.
   for (RoundFrame& frame : round) {
     const auto it = worker.connections.find(frame.fd);
@@ -952,6 +811,152 @@ void PredictionServer::handle_round(Worker& worker,
       worker.connections.erase(it);
     }
   }
+}
+
+void PredictionServer::serve_sessions(
+    const std::vector<RoundFrame*>& frames, std::vector<RoundFrame*>& later) {
+  thread_local std::vector<std::uint64_t> ids;
+  thread_local std::vector<RoundFrame*> batch;
+  thread_local std::vector<ObserveBatchItem> observe_items;
+  thread_local std::vector<std::size_t> observe_frames;
+  thread_local std::vector<SessionTable::Entry*> observe_entries;
+  thread_local std::vector<PredictBatchItem> predict_items;
+  thread_local std::vector<std::size_t> predict_frames;
+  thread_local std::vector<SessionTable::Entry*> predict_entries;
+  ids.clear();
+  batch.clear();
+  for (RoundFrame* frame : frames) {
+    const std::uint64_t id = session_of(frame->request);
+    if (std::find(ids.begin(), ids.end(), id) != ids.end()) {
+      later.push_back(frame);
+      continue;
+    }
+    ids.push_back(id);
+    batch.push_back(frame);
+  }
+
+  // Brownout ladder (DESIGN.md §14), decided per item: level 1 degrades
+  // sessions the guardrails already doubt (SUSPECT tier), level 2 every
+  // session with a cheap path. Predictors without one keep serving primary.
+  const int level = brownout_level();
+  const bool drain = draining();
+  const auto t_batch = Clock::now();
+  // One multi-shard lock acquisition covers lookup, validation, the
+  // engine's advance/predict, and reply composition.
+  sessions_.with_sessions(
+      ids, [&](std::span<SessionTable::Entry* const> entries) {
+        observe_items.clear();
+        observe_frames.clear();
+        observe_entries.clear();
+        predict_items.clear();
+        predict_frames.clear();
+        predict_entries.clear();
+        const auto now = Clock::now();
+        for (std::size_t i = 0; i < batch.size(); ++i) {
+          RoundFrame& frame = *batch[i];
+          SessionTable::Entry* entry = entries[i];
+          RequestInfo& info = frame.reply.info;
+          info.session_id = ids[i];
+          if (entry != nullptr) info.traced = entry->traced;
+          const bool brownout =
+              entry != nullptr &&
+              (level >= 2 || (level >= 1 && entry->predictor->suspect()));
+          if (const auto* observe =
+                  std::get_if<ObserveRequest>(&frame.request)) {
+            info.event = "observe";
+            const double w = observe->throughput_mbps;
+            // Validate before touching the predictor: one NaN in the forward
+            // filter poisons every belief state after it. Zero is allowed (a
+            // fully stalled epoch is a real measurement). An invalid sample
+            // outranks an unknown session and leaves last_used alone.
+            if (!(std::isfinite(w) && w >= 0.0 &&
+                  w <= config_.max_sample_mbps)) {
+              frame.response = ErrorResponse{
+                  WireErrorCode::kInvalidSample,
+                  "throughput sample must be finite, non-negative and <= " +
+                      std::to_string(config_.max_sample_mbps)};
+              frame.handled = true;
+              continue;
+            }
+            if (entry == nullptr) {
+              frame.response = ErrorResponse{WireErrorCode::kUnknownSession,
+                                             "unknown session"};
+              frame.handled = true;
+              continue;
+            }
+            entry->last_used = now;
+            if (config_.on_session_complete &&
+                entry->observations.size() < config_.session_history_cap)
+              entry->observations.push_back(w);
+            observe_items.push_back({entry->predictor.get(), w, 0.0, brownout});
+            observe_frames.push_back(i);
+            observe_entries.push_back(entry);
+          } else {
+            info.event = "predict";
+            const auto& predict = std::get<PredictRequest>(frame.request);
+            if (entry == nullptr) {
+              frame.response = ErrorResponse{WireErrorCode::kUnknownSession,
+                                             "unknown session"};
+              frame.handled = true;
+              continue;
+            }
+            if (predict.steps_ahead == 0) {
+              frame.response = ErrorResponse{WireErrorCode::kBadRequest,
+                                             "steps_ahead must be >= 1"};
+              frame.handled = true;
+              continue;
+            }
+            entry->last_used = now;
+            predict_items.push_back(
+                {entry->predictor.get(), predict.steps_ahead, 0.0, brownout});
+            predict_frames.push_back(i);
+            predict_entries.push_back(entry);
+          }
+        }
+        Cs2pEngine::observe_batch(observe_items);
+        Cs2pEngine::predict_batch(predict_items);
+        const auto compose = [&](RoundFrame& frame,
+                                 const SessionTable::Entry& entry,
+                                 double mbps, bool brownout) {
+          PredictionResponse response;
+          // serve_flags() after the advance: why this reply's forecast was
+          // served the way it was.
+          response.flags = entry.predictor->serve_flags();
+          response.mbps = mbps;
+          if (brownout) {
+            response.flags |= serve_flags::kBrownout | serve_flags::kDegraded;
+            m_.brownout_replies->inc();
+          }
+          if (drain) response.flags |= serve_flags::kDraining;
+          // kDraining alone is planned-migration housekeeping, not a
+          // degraded answer — the health signal counts everything else.
+          if ((response.flags & ~serve_flags::kDraining) !=
+              serve_flags::kPrimary)
+            m_.degraded_replies->inc();
+          RequestInfo& info = frame.reply.info;
+          info.flags = response.flags;
+          info.mbps = response.mbps;
+          info.log_likelihood = entry.predictor->last_log_likelihood();
+          frame.response = response;
+          frame.handled = true;
+        };
+        for (std::size_t k = 0; k < observe_items.size(); ++k)
+          compose(*batch[observe_frames[k]], *observe_entries[k],
+                  observe_items[k].prediction, observe_items[k].brownout);
+        for (std::size_t k = 0; k < predict_items.size(); ++k)
+          compose(*batch[predict_frames[k]], *predict_entries[k],
+                  predict_items[k].prediction, predict_items[k].brownout);
+      });
+  const std::size_t width = observe_items.size() + predict_items.size();
+  if (width == 0) return;
+  m_.batch_size->observe(static_cast<double>(width));
+  // Attribute the pass's wall time evenly: per-reply handle_us stays
+  // meaningful in traces without per-frame clock reads inside the lock.
+  const std::uint64_t per_frame = elapsed_us(t_batch, Clock::now()) / width;
+  for (const std::size_t i : observe_frames)
+    batch[i]->reply.handle_us = per_frame;
+  for (const std::size_t i : predict_frames)
+    batch[i]->reply.handle_us = per_frame;
 }
 
 bool PredictionServer::flush_write(Worker& worker, Connection& conn) {
@@ -1019,40 +1024,8 @@ void PredictionServer::complete_flushed_replies(Worker& worker,
   }
 }
 
-PredictionResponse PredictionServer::make_prediction_response(
-    const SessionPredictor& predictor, unsigned steps_ahead) {
-  // Read the flags before predicting: serve_flags() describes why the *next*
-  // prediction will be served the way it is, and must match the value on the
-  // same reply.
-  PredictionResponse response;
-  response.flags = predictor.serve_flags();
-  // Brownout ladder (DESIGN.md §14): level 1 degrades sessions the
-  // guardrails already doubt (SUSPECT tier), level 2 degrades every session
-  // with a cheap path. Predictors without one keep serving primary.
-  const int level = brownout_level();
-  std::optional<double> cheap;
-  if (level >= 2 || (level >= 1 && predictor.suspect()))
-    cheap = predictor.predict_brownout(steps_ahead);
-  if (cheap.has_value()) {
-    response.mbps = *cheap;
-    response.flags |= serve_flags::kBrownout | serve_flags::kDegraded;
-    m_.brownout_replies->inc();
-  } else {
-    response.mbps = predictor.predict(steps_ahead);
-  }
-  if (draining()) response.flags |= serve_flags::kDraining;
-  // kDraining alone is planned-migration housekeeping, not a degraded
-  // answer — the health signal counts everything else.
-  if ((response.flags & ~serve_flags::kDraining) != serve_flags::kPrimary)
-    m_.degraded_replies->inc();
-  return response;
-}
-
 Response PredictionServer::handle(const Request& request, Worker& worker,
                                   Connection& conn, RequestInfo& info) {
-  if (stopping_.load())
-    return ErrorResponse{WireErrorCode::kShuttingDown, "server is stopping"};
-
   if (std::holds_alternative<SyncBeginRequest>(request) ||
       std::holds_alternative<SyncChunkRequest>(request) ||
       std::holds_alternative<SyncCommitRequest>(request) ||
@@ -1118,63 +1091,6 @@ Response PredictionServer::handle(const Request& request, Worker& worker,
     info.cluster_label = response.cluster_label;
     m_.live_sessions->set(static_cast<double>(sessions_.size()));
     return response;
-  }
-
-  if (const auto* observe = std::get_if<ObserveRequest>(&request)) {
-    info.event = "observe";
-    info.session_id = observe->session_id;
-    const double w = observe->throughput_mbps;
-    // Validate before touching the predictor: one NaN in the forward filter
-    // poisons every belief state after it.
-    // Zero is allowed: a fully stalled epoch is a real measurement (and the
-    // dataset loader accepts it too).
-    const bool valid =
-        std::isfinite(w) && w >= 0.0 && w <= config_.max_sample_mbps;
-    Response out = ErrorResponse{WireErrorCode::kUnknownSession,
-                                 "unknown session"};
-    sessions_.with_session(observe->session_id, [&](SessionTable::Entry& entry) {
-      info.traced = entry.traced;
-      if (!valid) return;  // leave last_used alone; the error wins below
-      entry.last_used = Clock::now();
-      entry.predictor->observe(w);
-      if (config_.on_session_complete &&
-          entry.observations.size() < config_.session_history_cap)
-        entry.observations.push_back(w);
-      const PredictionResponse response =
-          make_prediction_response(*entry.predictor, 1);
-      info.flags = response.flags;
-      info.mbps = response.mbps;
-      info.log_likelihood = entry.predictor->last_log_likelihood();
-      out = response;
-    });
-    if (!valid)
-      return ErrorResponse{WireErrorCode::kInvalidSample,
-                           "throughput sample must be finite, non-negative and <= " +
-                               std::to_string(config_.max_sample_mbps)};
-    return out;
-  }
-
-  if (const auto* predict = std::get_if<PredictRequest>(&request)) {
-    info.event = "predict";
-    info.session_id = predict->session_id;
-    Response out = ErrorResponse{WireErrorCode::kUnknownSession,
-                                 "unknown session"};
-    sessions_.with_session(predict->session_id, [&](SessionTable::Entry& entry) {
-      info.traced = entry.traced;
-      if (predict->steps_ahead == 0) {
-        out = ErrorResponse{WireErrorCode::kBadRequest,
-                            "steps_ahead must be >= 1"};
-        return;
-      }
-      entry.last_used = Clock::now();
-      const PredictionResponse response =
-          make_prediction_response(*entry.predictor, predict->steps_ahead);
-      info.flags = response.flags;
-      info.mbps = response.mbps;
-      info.log_likelihood = entry.predictor->last_log_likelihood();
-      out = response;
-    });
-    return out;
   }
 
   if (const auto* bye = std::get_if<ByeRequest>(&request)) {

@@ -16,18 +16,17 @@
 // locks; TTL eviction is amortized into the worker loops (bounded scans,
 // never a full-table sweep under one lock).
 //
-// Batched inference (DESIGN.md §16): after each poll wakeup the worker
-// drains its readable connections in rounds — one complete frame per
-// connection per round (per-connection reply order is untouched; a session
-// driven over two connections at once is routed scalar). Each round's
+// Serving rounds (DESIGN.md §16): after each poll wakeup the worker drains
+// its readable connections in rounds — one complete frame per connection
+// per round, so per-connection reply order is untouched. Each round's
 // OBSERVE/PREDICT frames lock their shards once through
 // SessionTable::with_sessions and run through Cs2pEngine::observe_batch /
-// predict_batch, which group kernel-sharing sessions into one SoA
-// state-matrix walk (hmm/batch_filter.h). Everything else about a frame's
-// life — validation order, serve flags, degraded accounting, backpressure,
-// the budget + one-frame write-queue bound — is identical to the scalar
-// path, and the scalar path remains the fallback for every frame the batch
-// cannot take (HELLO/BYE/SYNC/STATS, brownout, shutdown, duplicates).
+// predict_batch, the one serving path for the session verbs; a session
+// driven over two connections at once splits into sub-rounds so its
+// observations chain. Shutdown, drain and brownout are per-round and
+// per-item decisions on that path. Everything else about a frame's life —
+// validation order, serve flags, degraded accounting, backpressure, the
+// budget + one-frame write-queue bound — is shared by every verb.
 //
 // Fault discipline (ROADMAP north star: degrade, don't die):
 //   - connection cap with a typed OVERLOADED rejection frame,
@@ -281,12 +280,6 @@ class PredictionServer {
     return m_.brownout_replies->value();
   }
 
-  /// Predictions served through the batched SoA kernel (DESIGN.md §16) —
-  /// the observable proof the per-poll batching path is actually engaged.
-  std::uint64_t batched_predicts() const noexcept {
-    return m_.batched_predicts->value();
-  }
-
   /// High-water mark of any connection's queued reply bytes — the
   /// observable guarantee that write backpressure bounds the queue (stays
   /// within write_budget_bytes + one frame no matter how slow a reader is).
@@ -334,7 +327,7 @@ class PredictionServer {
  private:
   using Clock = std::chrono::steady_clock;
 
-  /// What handle() learned about the request, for the trace record the
+  /// What serving learned about the request, for the trace record the
   /// worker emits after the reply is on the wire.
   struct RequestInfo {
     std::string_view event = "invalid";  ///< lifecycle stage / verb name
@@ -451,8 +444,6 @@ class PredictionServer {
     obs::Counter* brownout_replies = nullptr;
     obs::Counter* drain_rejections = nullptr;
     obs::Counter* completion_hook_errors = nullptr;
-    /// Predictions served by the batched kernel path (cs2p_stats-visible).
-    obs::Counter* batched_predicts = nullptr;
     obs::Gauge* active_connections = nullptr;
     obs::Gauge* live_sessions = nullptr;
     obs::Gauge* draining = nullptr;
@@ -465,8 +456,8 @@ class PredictionServer {
     /// paths (BYE and eviction) — eviction used to bypass all duration
     /// accounting.
     obs::Histogram* session_seconds = nullptr;
-    /// Width of each batched round submitted to the engine (how much
-    /// per-poll frame batching actually coalesces under real traffic).
+    /// Width of each session pass submitted to the engine (how many
+    /// OBSERVE/PREDICT frames one poll round coalesces under real traffic).
     obs::Histogram* batch_size = nullptr;
 
     static MetricHandles create(obs::MetricsRegistry& registry);
@@ -492,10 +483,14 @@ class PredictionServer {
   /// per round (preserving per-connection order and the backpressure
   /// budget), each round handled as a batch until no frames remain.
   void run_batch_rounds(Worker& worker);
-  /// Parses, dispatches (scalar verbs inline, OBSERVE/PREDICT through the
-  /// engine's batch API under one multi-shard session lock), and emits every
-  /// reply of one round.
+  /// Parses, dispatches (OBSERVE/PREDICT through serve_sessions, every
+  /// other verb through handle()), and emits every reply of one round.
   void handle_round(Worker& worker, std::vector<RoundFrame>& round);
+  /// One session pass: serves the first frame of each distinct session in
+  /// `frames` through the engine under one multi-shard session lock, and
+  /// appends the rest (a session's later frames) to `later`.
+  void serve_sessions(const std::vector<RoundFrame*>& frames,
+                      std::vector<RoundFrame*>& later);
   bool flush_write(Worker& worker, Connection& conn);
   /// Counts/times/traces every pending reply whose bytes are fully on the
   /// wire (end_offset <= write_pos).
@@ -504,11 +499,10 @@ class PredictionServer {
   /// accounting, fd teardown — a connection that dies mid-reply goes
   /// through here exactly like any other.
   void close_connection(Worker& worker, Connection& conn, bool idle_timed_out);
+  /// Every verb but OBSERVE/PREDICT, which run through serve_sessions().
   Response handle(const Request& request, Worker& worker, Connection& conn,
                   RequestInfo& info);
   Response handle_sync(const Request& request, SyncStaging& staging);
-  PredictionResponse make_prediction_response(const SessionPredictor& predictor,
-                                              unsigned steps_ahead);
   void reject_connection(const FdHandle& connection, WireErrorCode code,
                          const std::string& message);
   obs::Counter* verb_counter(const Request& request) const noexcept;

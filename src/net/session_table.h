@@ -24,7 +24,7 @@
 //     variant: it locks every owning shard (in shard-index order, so
 //     concurrent batches never deadlock) and exposes the whole group at
 //     once — what lets the server advance a poll round's sessions through
-//     one batched engine call.
+//     one engine call.
 //
 // Storage (DESIGN.md §16): entries live in per-shard slab arenas — fixed
 // 64-slot slabs, index-stable for the table's lifetime, with a freelist
@@ -152,8 +152,8 @@ class SessionTable {
   /// and single-shard operations still take one lock at a time underneath),
   /// then runs `fn(entries)` with entries[k] pointing at the session of
   /// ids[k], or nullptr when unknown. Pointers are valid only inside `fn`.
-  /// `ids` must not contain duplicates (the batch kernel's sequential-
-  /// dependence rule; callers route duplicates through with_session).
+  /// `ids` must not contain duplicates: the server gives each session one
+  /// frame per pass and splits repeats into sub-rounds.
   template <typename Fn>
   void with_sessions(std::span<const std::uint64_t> ids, Fn&& fn) {
     std::vector<std::size_t> order;

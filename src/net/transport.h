@@ -2,8 +2,8 @@
 //
 // The prediction service originally talked to FdHandle directly; pulling the
 // byte-stream operations behind Transport lets the client swap the real
-// socket for a fault-injecting wrapper (net/fault_injection.h) and gives one
-// place to enforce per-call deadlines. Failures surface as typed exceptions
+// socket for a fault-injecting wrapper (tests/support/net/fault_injection.h)
+// and gives one place to enforce per-call deadlines. Failures surface as typed exceptions
 // so callers can tell a deadline miss (retry) from a dead peer (reconnect):
 //
 //   TransportError            base of all transport-layer failures

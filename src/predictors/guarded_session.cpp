@@ -77,45 +77,22 @@ double GuardedSessionPredictor::predict(unsigned steps_ahead) const {
 }
 
 void GuardedSessionPredictor::observe(double throughput_mbps) {
-  // Scalar observe IS the batch protocol run inline — one code path, so the
-  // two can never drift.
-  const BatchObservePlan plan = begin_batch_observe(throughput_mbps);
-  if (plan.kind != BatchObservePlan::Kind::kFilter) return;
-  filter_.observe(plan.value);
-  finish_batch_observe();
-}
-
-BatchObservePlan GuardedSessionPredictor::begin_batch_observe(
-    double throughput_mbps) {
   const ObservationSanitizer::Result sample = sanitizer_.sanitize(throughput_mbps);
-  if (!sample.accepted())  // poisoned sample: belief unchanged
-    return {BatchObservePlan::Kind::kConsumed, nullptr, 0.0};
+  if (!sample.accepted()) return;  // poisoned sample: belief unchanged
 
   recent_samples_.push_back(sample.value);
   if (config_.fallback_window > 0 &&
       recent_samples_.size() > config_.fallback_window)
     recent_samples_.pop_front();
 
-  was_degraded_before_batch_ = degraded();
-  return {BatchObservePlan::Kind::kFilter, &filter_, sample.value};
-}
-
-void GuardedSessionPredictor::finish_batch_observe() {
+  const bool was_degraded = degraded();
+  filter_.observe(sample.value);
   monitor_.record(filter_.last_log_likelihood());
   const bool now_degraded = degraded();
-  if (on_event_ && was_degraded_before_batch_ != now_degraded) {
+  if (on_event_ && was_degraded != now_degraded) {
     on_event_(now_degraded ? GuardrailEvent::kTripped : GuardrailEvent::kRecovered,
               now_degraded);
   }
-}
-
-const OnlineHmmFilter* GuardedSessionPredictor::batch_predict_filter(
-    unsigned steps_ahead) const {
-  (void)steps_ahead;
-  // Degraded sessions serve the fallback chain (with its counter/metric side
-  // effects) and cold starts serve initial_value_ — both scalar-only.
-  if (degraded() || filter_.observations() == 0) return nullptr;
-  return &filter_;
 }
 
 std::optional<double> GuardedSessionPredictor::predict_brownout(

@@ -104,13 +104,6 @@ class GuardedSessionPredictor final : public SessionPredictor {
     return monitor_.state() != GuardrailState::kHealthy;
   }
 
-  /// Batched-inference hooks: observe() is literally begin + filter advance
-  /// + finish, so the batched and scalar paths share every guardrail
-  /// decision (sanitizer verdicts, surprise scoring, trip/recover events).
-  BatchObservePlan begin_batch_observe(double throughput_mbps) override;
-  void finish_batch_observe() override;
-  const OnlineHmmFilter* batch_predict_filter(unsigned steps_ahead) const override;
-
   GuardrailState guardrail_state() const noexcept { return monitor_.state(); }
   Stats stats() const;
 
@@ -133,9 +126,6 @@ class GuardedSessionPredictor final : public SessionPredictor {
   const GuardrailMetrics* metrics_;
   std::deque<double> recent_samples_;  ///< accepted samples, fallback window
   mutable std::size_t fallback_predictions_ = 0;
-  /// degraded() snapshot taken in begin_batch_observe, consumed by
-  /// finish_batch_observe (valid only between the two).
-  bool was_degraded_before_batch_ = false;
 };
 
 }  // namespace cs2p

@@ -5,10 +5,16 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <limits>
 #include <memory>
+#include <vector>
 
 #include "dataset/synthetic.h"
+#include "hmm/kernel.h"
+#include "predictors/guarded_session.h"
+#include "predictors/hmm_session.h"
+#include "util/rng.h"
 
 namespace cs2p {
 namespace {
@@ -280,6 +286,153 @@ TEST(PredictorModelAdapter, SharedEngineReuse) {
   const Cs2pPredictorModel a(engine);
   const Cs2pPredictorModel b(engine);
   EXPECT_EQ(&a.engine(), &b.engine());
+}
+
+// -- Serving entry: observe_batch / predict_batch ------------------------------
+
+/// A random valid model: stochastic rows by normalizing uniform draws,
+/// well-spread means, sigmas well above the kernel floor.
+GaussianHmm random_model(Rng& rng, std::size_t n) {
+  GaussianHmm model;
+  model.initial.resize(n);
+  double sum = 0.0;
+  for (auto& p : model.initial) sum += (p = rng.uniform(0.05, 1.0));
+  for (auto& p : model.initial) p /= sum;
+  model.transition = Matrix(n, n);
+  for (std::size_t i = 0; i < n; ++i) {
+    double row = 0.0;
+    for (std::size_t j = 0; j < n; ++j)
+      row += (model.transition(i, j) = rng.uniform(0.05, 1.0));
+    for (std::size_t j = 0; j < n; ++j) model.transition(i, j) /= row;
+  }
+  model.states.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    model.states[i].mean = 0.5 + 1.5 * static_cast<double>(i) +
+                           rng.uniform(0.0, 1.0);
+    model.states[i].sigma = rng.uniform(0.05, 1.0);
+  }
+  return model;
+}
+
+/// A stream sample: usually near a random state mean, occasionally an
+/// absurd outlier that zeroes every emission (the degenerate-update path).
+double random_sample(Rng& rng, const GaussianHmm& model) {
+  if (rng.uniform() < 0.08) return 1e12;
+  const auto& s = model.states[rng.uniform_index(model.num_states())];
+  return s.mean + s.sigma * rng.gaussian();
+}
+
+GuardrailConfig tight_guardrail() {
+  GuardrailConfig guard;
+  guard.enabled = true;
+  guard.window = 4;
+  guard.min_observations = 2;
+  guard.confirm_observations = 2;
+  return guard;
+}
+
+/// The serving entry over a mixed predictor population: plain HMM sessions
+/// and guarded sessions (some tripping their guardrail mid-stream), spread
+/// over two distinct kernels. Every item's prediction, log-likelihood and
+/// serve flags must equal an identically-driven scalar twin's exactly.
+TEST(ServingEntry, MatchesScalarAcrossPredictorMix) {
+  Rng rng(0x5eedf00dULL);
+  const auto kernel_a = HmmKernel::create(random_model(rng, 4));
+  const auto kernel_b = HmmKernel::create(random_model(rng, 6));
+  const GuardrailConfig guard = tight_guardrail();
+  const SurpriseBaseline baseline{-1.0, 1.0};
+
+  // Twin populations: index-matched, identically constructed.
+  std::vector<std::unique_ptr<SessionPredictor>> served;
+  std::vector<std::unique_ptr<SessionPredictor>> twins;
+  const auto add_pair = [&](auto make) {
+    served.push_back(make());
+    twins.push_back(make());
+  };
+  for (int i = 0; i < 6; ++i) {
+    const auto& kernel = (i % 2 == 0) ? kernel_a : kernel_b;
+    add_pair([&] {
+      return std::make_unique<HmmSessionPredictor>(kernel, 2.0);
+    });
+    add_pair([&] {
+      return std::make_unique<GuardedSessionPredictor>(kernel, 2.0, 1.5,
+                                                       baseline, guard);
+    });
+  }
+
+  std::vector<ObserveBatchItem> items(served.size());
+  for (int round = 0; round < 15; ++round) {
+    for (std::size_t i = 0; i < served.size(); ++i) {
+      const auto& model =
+          (i / 2 % 2 == 0) ? kernel_a->model() : kernel_b->model();
+      const double w = random_sample(rng, model);
+      items[i] = {served[i].get(), w, 0.0, false};
+      twins[i]->observe(w);
+    }
+    Cs2pEngine::observe_batch(items);
+    for (std::size_t i = 0; i < items.size(); ++i) {
+      ASSERT_EQ(items[i].prediction, twins[i]->predict(1))
+          << "round " << round << " item " << i;
+      ASSERT_FALSE(items[i].brownout);
+      ASSERT_EQ(served[i]->last_log_likelihood(), twins[i]->last_log_likelihood())
+          << "round " << round << " item " << i;
+      ASSERT_EQ(served[i]->serve_flags(), twins[i]->serve_flags())
+          << "round " << round << " item " << i;
+    }
+
+    std::vector<PredictBatchItem> predicts(items.size());
+    const unsigned steps = 1 + static_cast<unsigned>(rng.uniform_index(20));
+    for (std::size_t i = 0; i < items.size(); ++i)
+      predicts[i] = {served[i].get(), steps, 0.0, false};
+    Cs2pEngine::predict_batch(predicts);
+    for (std::size_t i = 0; i < predicts.size(); ++i)
+      ASSERT_EQ(predicts[i].prediction, twins[i]->predict(steps))
+          << "round " << round << " item " << i << " horizon " << steps;
+  }
+}
+
+/// A session with no observation yet serves its initial value.
+TEST(ServingEntry, ColdStartPredictsInitialValue) {
+  const auto kernel = HmmKernel::create(
+      GaussianHmm{{0.6, 0.4},
+                  Matrix{{0.9, 0.1}, {0.2, 0.8}},
+                  {{1.0, 0.1}, {5.0, 0.5}}});
+  HmmSessionPredictor cold(kernel, 7.25);
+  PredictBatchItem item{&cold, 1, 0.0, false};
+  Cs2pEngine::predict_batch({&item, 1});
+  EXPECT_DOUBLE_EQ(item.prediction, 7.25);
+}
+
+/// A brownout item is served the predictor's cheap forecast when the family
+/// has one (guarded: the harmonic-mean fallback chain) and its primary
+/// forecast otherwise — with the out flag saying which.
+TEST(ServingEntry, BrownoutServesCheapForecastWhereOneExists) {
+  const auto kernel = HmmKernel::create(
+      GaussianHmm{{0.6, 0.4},
+                  Matrix{{0.9, 0.1}, {0.2, 0.8}},
+                  {{1.0, 0.5}, {5.0, 0.5}}});
+  GuardedSessionPredictor guarded(kernel, 2.0, 1.5, SurpriseBaseline{-1.0, 1.0},
+                                  tight_guardrail());
+  HmmSessionPredictor plain(kernel, 2.0);
+
+  std::vector<ObserveBatchItem> observes{{&guarded, 1.0, 0.0, true},
+                                         {&plain, 1.0, 0.0, true}};
+  Cs2pEngine::observe_batch(observes);
+  observes[0].observation = observes[1].observation = 4.0;
+  observes[0].brownout = observes[1].brownout = true;
+  Cs2pEngine::observe_batch(observes);
+  EXPECT_TRUE(observes[0].brownout);
+  EXPECT_EQ(observes[0].prediction, 2.0 / (1.0 / 1.0 + 1.0 / 4.0));
+  EXPECT_FALSE(observes[1].brownout);
+  EXPECT_EQ(observes[1].prediction, plain.predict(1));
+
+  std::vector<PredictBatchItem> predicts{{&guarded, 3, 0.0, true},
+                                         {&plain, 3, 0.0, true}};
+  Cs2pEngine::predict_batch(predicts);
+  EXPECT_TRUE(predicts[0].brownout);
+  EXPECT_EQ(predicts[0].prediction, *guarded.predict_brownout(3));
+  EXPECT_FALSE(predicts[1].brownout);
+  EXPECT_EQ(predicts[1].prediction, plain.predict(3));
 }
 
 }  // namespace

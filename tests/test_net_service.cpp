@@ -7,6 +7,7 @@
 #include <chrono>
 #include <cmath>
 #include <fstream>
+#include <future>
 #include <limits>
 #include <memory>
 #include <string>
@@ -16,6 +17,7 @@
 #include "hmm/kernel.h"
 #include "net/client.h"
 #include "net/server.h"
+#include "net/socket.h"
 #include "net/transport.h"
 #include "net/wire.h"
 #include "obs/metrics.h"
@@ -116,10 +118,10 @@ TEST(PredictionService, MultipleSessionsAreIsolated) {
   EXPECT_DOUBLE_EQ(client.predict(b.session_id, 1), 21.0);
 }
 
-// OBSERVE/PREDICT on kernel-backed sessions must be served through the
-// batched inference path and show up in its telemetry — the end-to-end proof
-// that per-poll frame batching is live, not just unit-tested.
-TEST(PredictionService, HmmSessionsServeThroughBatchedKernelPath) {
+// OBSERVE/PREDICT on kernel-backed sessions are served through the round's
+// session pass and show up in its telemetry — the end-to-end proof that
+// per-poll rounds are live, not just unit-tested.
+TEST(PredictionService, HmmSessionsServeThroughSessionPass) {
   PredictionServer server(std::make_shared<SharedKernelHmmModel>());
   PredictionClient client(server.port());
   const auto a = client.hello(features(), 0.0);
@@ -127,15 +129,93 @@ TEST(PredictionService, HmmSessionsServeThroughBatchedKernelPath) {
   EXPECT_DOUBLE_EQ(client.observe(a.session_id, 1.0), 1.0);  // MLE state 0
   EXPECT_DOUBLE_EQ(client.observe(b.session_id, 5.0), 5.0);  // MLE state 1
   EXPECT_DOUBLE_EQ(client.predict(a.session_id, 1), 1.0);
-  EXPECT_GE(server.batched_predicts(), 3u);
 
   const StatsResponse stats = client.stats();
-  EXPECT_NE(stats.exposition.find("cs2p_server_batched_predicts_total"),
-            std::string::npos);
   EXPECT_NE(stats.exposition.find("cs2p_server_batch_size"),
             std::string::npos);
   client.bye(a.session_id);
   client.bye(b.session_id);
+}
+
+/// Forecast = sum of every observation + steps: any lost or re-read
+/// observation shows in the next reply.
+class RunningSumModel final : public PredictorModel {
+ public:
+  class Predictor final : public SessionPredictor {
+   public:
+    double predict(unsigned steps) const override {
+      return sum_ + static_cast<double>(steps);
+    }
+    void observe(double w) override { sum_ += w; }
+
+   private:
+    double sum_ = 0.0;
+  };
+  std::string name() const override { return "RunningSum"; }
+  std::unique_ptr<SessionPredictor> make_session(const SessionContext&) const override {
+    return std::make_unique<Predictor>();
+  }
+};
+
+double raw_prediction_reply(const FdHandle& fd) {
+  if (!wait_readable(fd, 5000)) throw std::runtime_error("no reply within 5 s");
+  const auto payload = recv_frame(fd);
+  if (!payload) throw std::runtime_error("connection closed");
+  return std::get<PredictionResponse>(parse_response(*payload)).mbps;
+}
+
+// One session driven over two connections whose OBSERVEs land in the same
+// poll round: the second frame must see the first one's observation (a
+// sub-round), exactly like a scalar twin fed both samples in order.
+TEST(PredictionService, DuplicateSessionInOneRoundChainsObservations) {
+  // The BYE of a gate session parks the only worker inside the completion
+  // hook while both OBSERVEs are written, so one poll wakeup reads both.
+  std::promise<void> entered;
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  std::atomic<bool> gated{false};
+  ServerConfig config;
+  config.io_threads = 1;
+  config.on_session_complete = [&](CompletedSession&&) {
+    if (gated.exchange(true)) return;
+    entered.set_value();
+    released.wait();
+  };
+  PredictionServer server(std::make_shared<RunningSumModel>(), config);
+  PredictionClient client(server.port());
+  const auto gate = client.hello(features(), 0.0);
+  const auto session = client.hello(features(), 0.0);
+
+  FdHandle conn_a = connect_loopback(server.port());
+  FdHandle conn_b = connect_loopback(server.port());
+  // A first round trip on each makes sure the worker owns both connections.
+  send_frame(conn_a, serialize_request(PredictRequest{session.session_id, 1}));
+  send_frame(conn_b, serialize_request(PredictRequest{session.session_id, 1}));
+  EXPECT_EQ(raw_prediction_reply(conn_a), 1.0);
+  EXPECT_EQ(raw_prediction_reply(conn_b), 1.0);
+
+  std::thread bye([&] { client.bye(gate.session_id); });
+  entered.get_future().wait();
+  constexpr double kSampleA = 1.0;
+  constexpr double kSampleB = 10.0;
+  send_frame(conn_a,
+             serialize_request(ObserveRequest{session.session_id, kSampleA}));
+  send_frame(conn_b,
+             serialize_request(ObserveRequest{session.session_id, kSampleB}));
+  release.set_value();
+  bye.join();
+  const double reply_a = raw_prediction_reply(conn_a);
+  const double reply_b = raw_prediction_reply(conn_b);
+
+  // The round serves its frames in connection order, which the test does not
+  // control; the twin takes whichever order the replies say was served.
+  const bool a_first = reply_a < reply_b;
+  RunningSumModel::Predictor twin;
+  twin.observe(a_first ? kSampleA : kSampleB);
+  EXPECT_EQ(a_first ? reply_a : reply_b, twin.predict(1));
+  twin.observe(a_first ? kSampleB : kSampleA);
+  EXPECT_EQ(a_first ? reply_b : reply_a, twin.predict(1));
+  EXPECT_EQ(client.predict(session.session_id, 1), twin.predict(1));
 }
 
 TEST(PredictionService, ConcurrentClients) {

@@ -525,6 +525,8 @@ TEST(ChaosSoak, KillOneReplicaMidSoakDropsNoSessions) {
   std::atomic<int> dropped{0};
   std::atomic<long> max_chunk_us{0};
   std::atomic<bool> start{false};
+  std::atomic<int> at_midpoint{0};
+  std::atomic<bool> killed{false};
   std::vector<std::thread> players;
   players.reserve(kSessions);
   for (int p = 0; p < kSessions; ++p) {
@@ -534,6 +536,13 @@ TEST(ChaosSoak, KillOneReplicaMidSoakDropsNoSessions) {
         const SessionResponse session =
             set.hello(features("p" + std::to_string(p)), p % 24);
         for (int chunk = 0; chunk < kChunks; ++chunk) {
+          if (chunk == kChunks / 2) {
+            // Hold every session mid-stream until the replica is dead, so
+            // the kill cannot land after the soak has already finished.
+            at_midpoint.fetch_add(1);
+            while (!killed.load())
+              std::this_thread::sleep_for(std::chrono::milliseconds(1));
+          }
           const auto t0 = std::chrono::steady_clock::now();
           set.observe_response(session.session_id, 1.0 + 0.1 * chunk);
           const long us =
@@ -553,11 +562,13 @@ TEST(ChaosSoak, KillOneReplicaMidSoakDropsNoSessions) {
     });
   }
   start.store(true);
-  // Let the soak get going, then kill one replica outright. Its monitor
+  // Once every session is mid-stream, kill one replica outright. Its monitor
   // resurrects it after the dwell; surviving replicas absorb the sessions.
-  std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  while (at_midpoint.load() + dropped.load() < kSessions)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
   replicas[0]->kill_now();
   replicas[0]->start_monitor();
+  killed.store(true);
   for (auto& player : players) player.join();
 
   EXPECT_EQ(dropped.load(), 0) << "sessions dropped during replica kill";
